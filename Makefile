@@ -92,7 +92,7 @@ bench-smoke: build
 # meant to catch order-of-magnitude interpreter regressions (e.g. the
 # block cache silently disabled), not single-digit drift. Only
 # regressions fail; improvements and added benches never do.
-BENCH_BASELINE := BENCH_v1_f43843dd0c28.json
+BENCH_BASELINE := BENCH_v1_472ae3e11ba9.json
 bench-gate: build
 	PARALLAFT_QUICK=1 PARALLAFT_QUIET=1 dune exec bench/main.exe -- \
 	  --against $(BENCH_BASELINE) --threshold 400

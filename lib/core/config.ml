@@ -98,11 +98,6 @@ let live_limit t =
     min t.max_live_segments (max 1 max_lag)
   | Backend_inline | Backend_remote _ -> t.max_live_segments
 
-let invariants_from_env () =
-  match Sys.getenv_opt "PARALLAFT_INVARIANTS" with
-  | Some "" | Some "0" | None -> false
-  | Some _ -> true
-
 let backend_of_platform (p : Platform.t) =
   match p.Platform.dirty_tracking with
   | Platform.Soft_dirty -> Soft_dirty
@@ -132,7 +127,7 @@ let parallaft ~platform ?slice_period () =
     recheck_on_mismatch = false;
     watchdog_stall_ns = 100_000_000;
     watchdog_retries = 1;
-    check_invariants = invariants_from_env ();
+    check_invariants = Util.Invariants.enabled ();
     block_cache = Machine.Cpu.default_block_cache ();
     cpu_stats = false;
     record_log = None;
@@ -161,7 +156,7 @@ let raft ~platform () =
     recheck_on_mismatch = false;
     watchdog_stall_ns = 100_000_000;
     watchdog_retries = 1;
-    check_invariants = invariants_from_env ();
+    check_invariants = Util.Invariants.enabled ();
     block_cache = Machine.Cpu.default_block_cache ();
     cpu_stats = false;
     record_log = None;

@@ -75,7 +75,9 @@ type t = {
       (* the failure that triggered the current re-check; a passing
          re-check resolves it as Transient_checker_fault *)
   mutable state : state;
-  mutable history : phase list;  (** oldest first, starting [Recording_p] *)
+  mutable rev_history : phase list;
+      (* newest first, ending in [Recording_p]: appending a phase is a
+         cons, and [history] reverses on the (debug-only) read *)
   mutable torn_down : bool;
 }
 
@@ -87,7 +89,7 @@ let redispatches t = t.redispatches
 let recheck_of t = t.recheck_of
 let state t = t.state
 let phase t = phase_of_state t.state
-let history t = t.history
+let history t = List.rev t.rev_history
 let torn_down t = t.torn_down
 
 (* The paper's pipeline (figure 1(b)): record, hand over, replay, retire.
@@ -122,7 +124,7 @@ let transition t into_state =
     violation "segment %d: illegal transition %s -> %s" t.id
       (phase_to_string from) (phase_to_string into);
   t.state <- into_state;
-  t.history <- t.history @ [ into ]
+  t.rev_history <- into :: t.rev_history
 
 let create ~id ~checker =
   {
@@ -132,7 +134,7 @@ let create ~id ~checker =
     redispatches = 0;
     recheck_of = None;
     state = Recording { log = Rr_log.create (); streaming = None };
-    history = [ Recording_p ];
+    rev_history = [ Recording_p ];
     torn_down = false;
   }
 
@@ -312,10 +314,11 @@ let is_done t = t.state = Done
    checks live in Run_ctx.check_invariants). *)
 
 let check_invariants t =
-  if not (legal_history t.history) then
+  let history = history t in
+  if not (legal_history history) then
     violation "segment %d: illegal phase history [%s]" t.id
-      (String.concat "; " (List.map phase_to_string t.history));
-  (match List.rev t.history with
+      (String.concat "; " (List.map phase_to_string history));
+  (match t.rev_history with
   | last :: _ when last <> phase t ->
     violation "segment %d: history tail %s disagrees with state %s" t.id
       (phase_to_string last)

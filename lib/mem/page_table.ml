@@ -6,14 +6,21 @@ type pte = {
   mutable soft_dirty : bool;
 }
 
+(* [last] caches the most recent successful {!find}: [Some pte] is the
+   entry of [last_vpn]. Only removing a mapping can make it stale, so
+   [unmap] and [free_all] reset it; mapping touches unmapped vpns only,
+   and protection changes and COW mutate the cached pte itself. *)
 type t = {
   alloc : Frame.allocator;
   entries : (int, pte) Hashtbl.t;
+  mutable last_vpn : int;
+  mutable last : pte option;
 }
 
 exception Page_fault of { vpn : int; write : bool }
 
-let create alloc = { alloc; entries = Hashtbl.create 256 }
+let with_entries alloc entries = { alloc; entries; last_vpn = 0; last = None }
+let create alloc = with_entries alloc (Hashtbl.create 256)
 
 let allocator t = t.alloc
 let page_size t = Frame.page_size t.alloc
@@ -36,8 +43,9 @@ let unmap t ~vpn =
   match Hashtbl.find_opt t.entries vpn with
   | None -> invalid_arg (Printf.sprintf "Page_table.unmap: vpn %d not mapped" vpn)
   | Some pte ->
-    Frame.decref t.alloc pte.frame;
-    Hashtbl.remove t.entries vpn
+    t.last <- None;
+    Hashtbl.remove t.entries vpn;
+    Frame.decref t.alloc pte.frame
 
 let is_mapped t ~vpn = Hashtbl.mem t.entries vpn
 
@@ -51,9 +59,15 @@ let set_protection t ~vpn prot =
   | Some pte -> pte.prot <- prot
 
 let find t vpn ~write =
-  match Hashtbl.find_opt t.entries vpn with
-  | Some pte -> pte
-  | None -> raise (Page_fault { vpn; write })
+  match t.last with
+  | Some pte when t.last_vpn = vpn -> pte
+  | _ -> (
+    match Hashtbl.find_opt t.entries vpn with
+    | Some pte as hit ->
+      t.last_vpn <- vpn;
+      t.last <- hit;
+      pte
+    | None -> raise (Page_fault { vpn; write }))
 
 let frame_id t ~vpn = (find t vpn ~write:false).frame.Frame.id
 
@@ -92,7 +106,7 @@ let frame_view t ~vpn =
   (f.Frame.id, f.Frame.generation, f.Frame.data)
 
 let fork t =
-  let child = { alloc = t.alloc; entries = Hashtbl.create (Hashtbl.length t.entries) } in
+  let child = with_entries t.alloc (Hashtbl.create (Hashtbl.length t.entries)) in
   Hashtbl.iter
     (fun vpn pte ->
       Frame.incref pte.frame;
@@ -102,6 +116,7 @@ let fork t =
   child
 
 let free_all t =
+  t.last <- None;
   Hashtbl.iter (fun _ pte -> Frame.decref t.alloc pte.frame) t.entries;
   Hashtbl.reset t.entries
 

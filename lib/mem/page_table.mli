@@ -8,7 +8,16 @@
       reads the set at segment end.
     - Map-count tracking (§4.4, AArch64 PAGEMAP_SCAN path):
       {!uniquely_mapped} reports pages whose frame is mapped exactly once
-      system-wide, i.e. modified-or-new since the fork. *)
+      system-wide, i.e. modified-or-new since the fork.
+
+    Every accessor that takes a [vpn] and raises {!Page_fault} walks the
+    table through a one-entry lookup cache holding the last hit, so
+    repeated accesses to one page skip the hash-table probe. {!unmap}
+    and {!free_all} reset it (they are the only operations that remove
+    entries), {!fork} starts the child with an empty one, and COW or
+    {!set_protection} update the cached entry in place, so the cache is
+    never observable. Removing a mapping drops its frame reference (see
+    {!Frame} for what happens to the buffer). *)
 
 type t
 

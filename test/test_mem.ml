@@ -415,6 +415,301 @@ let qcheck_frame_refcounts_match_mappings =
         !live;
       refcounts_ok && Mem.Frame.live_frames alloc = 0)
 
+(* Host-side page path against a naive model. Random operation sequences
+   over three address spaces sharing one allocator run on the real
+   Address_space/Page_table/Frame stack and on a model that keeps a
+   private copy of every page's bytes. The model also tracks abstract
+   frames (which mappings share one, with refcounts) so it can predict
+   the allocator's counters. Pages are 64 bytes and the address range is
+   8 pages, so mappings, forks, COW breaks and frees collide constantly:
+   the frame free list is drained and refilled over and over, and every
+   stale lookup-cache entry (after unmap or free_all, or a pte whose
+   frame COW replaced) would surface as a wrong byte, a missing
+   segfault or a counter off by one. Real frame ids must map one-to-one
+   onto model frames for the whole run, so an id is never reused. *)
+module Page_model = struct
+  let psize = 64
+  let npages = 8
+  let nspaces = 3
+
+  type op =
+    | Map of int * int * int (* space, first vpn, pages *)
+    | Unmap of int * int * int
+    | Fork of int * int (* src, dst: dst exits, then becomes a fork of src *)
+    | Load64 of int * int (* space, addr *)
+    | Store64 of int * int * int (* space, addr, value *)
+    | Write_bytes of int * int * int * char (* space, addr, len, fill *)
+    | Free_all of int
+
+  let show = function
+    | Map (s, v, n) -> Printf.sprintf "map s%d vpn%d x%d" s v n
+    | Unmap (s, v, n) -> Printf.sprintf "unmap s%d vpn%d x%d" s v n
+    | Fork (a, b) -> Printf.sprintf "fork s%d->s%d" a b
+    | Load64 (s, a) -> Printf.sprintf "load64 s%d @%d" s a
+    | Store64 (s, a, v) -> Printf.sprintf "store64 s%d @%d=%d" s a v
+    | Write_bytes (s, a, n, c) ->
+      Printf.sprintf "write_bytes s%d @%d x%d %C" s a n c
+    | Free_all s -> Printf.sprintf "free_all s%d" s
+
+  let gen_op =
+    let open QCheck.Gen in
+    let space = int_bound (nspaces - 1) in
+    let vpn = int_bound (npages - 1) in
+    let span = int_range 1 3 in
+    (* Any address whose 8-byte access stays in range, so some straddle
+       a page boundary. *)
+    let addr = int_bound ((npages * psize) - 8) in
+    frequency
+      [
+        (3, map3 (fun s v n -> Map (s, v, n)) space vpn span);
+        (2, map3 (fun s v n -> Unmap (s, v, n)) space vpn span);
+        (2, map2 (fun a b -> Fork (a, b)) space space);
+        (4, map2 (fun s a -> Load64 (s, a)) space addr);
+        (5, map3 (fun s a v -> Store64 (s, a, v)) space addr small_signed_int);
+        ( 2,
+          map3
+            (fun (s, a) n c -> Write_bytes (s, a, n, c))
+            (pair space (int_bound ((npages * psize) - 1)))
+            (int_range 1 (2 * psize))
+            (map Char.chr (int_range 1 255)) );
+        (1, map (fun s -> Free_all s) space);
+      ]
+
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      ~shrink:QCheck.Shrink.list
+      QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+  (* Model state: per space, vpn -> (model frame, private bytes). *)
+  type m = {
+    spaces : (int, int * Bytes.t) Hashtbl.t array;
+    refs : (int, int) Hashtbl.t; (* model frame -> refcount *)
+    mutable next : int;
+    mutable live : int;
+    mutable total : int;
+    mutable copies : int;
+  }
+
+  let new_frame m bytes =
+    let id = m.next in
+    m.next <- id + 1;
+    m.live <- m.live + 1;
+    m.total <- m.total + 1;
+    Hashtbl.replace m.refs id 1;
+    (id, bytes)
+
+  let drop m id =
+    let n = Hashtbl.find m.refs id - 1 in
+    Hashtbl.replace m.refs id n;
+    if n = 0 then m.live <- m.live - 1
+
+  (* The store side of one page: break sharing first, as the kernel does. *)
+  let writable m s vpn =
+    let tbl = m.spaces.(s) in
+    let id, bytes = Hashtbl.find tbl vpn in
+    if Hashtbl.find m.refs id > 1 then begin
+      drop m id;
+      m.copies <- m.copies + 1;
+      let fresh = new_frame m (Bytes.copy bytes) in
+      Hashtbl.replace tbl vpn fresh;
+      snd fresh
+    end
+    else bytes
+
+  (* Byte-wise model access: [None] = segfault on the first unmapped
+     page, after the bytes before it landed (as the real stores do). *)
+  let store_byte m s a c =
+    let vpn = a / psize in
+    if not (Hashtbl.mem m.spaces.(s) vpn) then false
+    else begin
+      Bytes.set (writable m s vpn) (a mod psize) c;
+      true
+    end
+
+  let load_byte m s a =
+    Option.map
+      (fun (_, b) -> Bytes.get b (a mod psize))
+      (Hashtbl.find_opt m.spaces.(s) (a / psize))
+
+  let run ops =
+    let alloc = Mem.Frame.allocator ~page_size:psize in
+    let real = Array.init nspaces (fun _ -> Mem.Address_space.create alloc) in
+    let m =
+      {
+        spaces = Array.init nspaces (fun _ -> Hashtbl.create 8);
+        refs = Hashtbl.create 64;
+        next = 0;
+        live = 0;
+        total = 0;
+        copies = 0;
+      }
+    in
+    let free_model s =
+      Hashtbl.iter (fun _ (id, _) -> drop m id) m.spaces.(s);
+      Hashtbl.reset m.spaces.(s)
+    in
+    (* real frame id <-> model frame, both ways, for the whole run *)
+    let to_model = Hashtbl.create 64 and to_real = Hashtbl.create 64 in
+    let fail fmt = Printf.ksprintf failwith fmt in
+    let check_agree () =
+      for s = 0 to nspaces - 1 do
+        let pt = Mem.Address_space.page_table real.(s) in
+        for vpn = 0 to npages - 1 do
+          match Hashtbl.find_opt m.spaces.(s) vpn with
+          | None ->
+            if Mem.Page_table.is_mapped pt ~vpn then
+              fail "s%d vpn %d mapped, model says unmapped" s vpn
+          | Some (mid, bytes) ->
+            if not (Mem.Page_table.is_mapped pt ~vpn) then
+              fail "s%d vpn %d unmapped, model says mapped" s vpn;
+            if not (Bytes.equal bytes (Mem.Page_table.read_bytes_at pt ~vpn))
+            then fail "s%d vpn %d bytes differ" s vpn;
+            let rid = Mem.Page_table.frame_id pt ~vpn in
+            (match Hashtbl.find_opt to_model rid with
+            | Some mid' when mid' <> mid ->
+              fail "frame id %d reused (model frames %d and %d)" rid mid' mid
+            | _ -> Hashtbl.replace to_model rid mid);
+            match Hashtbl.find_opt to_real mid with
+            | Some rid' when rid' <> rid ->
+              fail "model frame %d backed by frame ids %d and %d" mid rid' rid
+            | _ -> Hashtbl.replace to_real mid rid
+        done
+      done;
+      let counter name want got =
+        if want <> got then fail "%s: model %d, real %d" name want got
+      in
+      counter "copies" m.copies (Mem.Frame.copies alloc);
+      counter "live_frames" m.live (Mem.Frame.live_frames alloc);
+      counter "total_allocated" m.total (Mem.Frame.total_allocated alloc)
+    in
+    let segv f =
+      match f () with
+      | () -> false
+      | exception Mem.Address_space.Segfault _ -> true
+    in
+    let step = function
+      | Map (s, vpn, n) ->
+        let n = min n (npages - vpn) in
+        Mem.Address_space.map_range real.(s) ~addr:(vpn * psize)
+          ~len:(n * psize) Mem.Page_table.Read_write;
+        for v = vpn to vpn + n - 1 do
+          if not (Hashtbl.mem m.spaces.(s) v) then
+            Hashtbl.replace m.spaces.(s) v (new_frame m (Bytes.make psize '\000'))
+        done
+      | Unmap (s, vpn, n) ->
+        Mem.Address_space.unmap_range real.(s) ~addr:(vpn * psize)
+          ~len:(n * psize);
+        for v = vpn to vpn + n - 1 do
+          match Hashtbl.find_opt m.spaces.(s) v with
+          | Some (id, _) ->
+            drop m id;
+            Hashtbl.remove m.spaces.(s) v
+          | None -> ()
+        done
+      | Fork (src, dst) ->
+        if src <> dst then begin
+          Mem.Page_table.free_all (Mem.Address_space.page_table real.(dst));
+          real.(dst) <- Mem.Address_space.fork real.(src);
+          free_model dst;
+          Hashtbl.iter
+            (fun vpn ((id, _) as e) ->
+              Hashtbl.replace m.refs id (Hashtbl.find m.refs id + 1);
+              Hashtbl.replace m.spaces.(dst) vpn e)
+            m.spaces.(src)
+        end
+      | Load64 (s, a) -> (
+        let want = List.init 8 (fun i -> load_byte m s (a + i)) in
+        match Mem.Address_space.load64 real.(s) a with
+        | v ->
+          List.iteri
+            (fun i b ->
+              match b with
+              (* [load64] returns a 63-bit int: the top bit is lost. *)
+              | Some c
+                when let mask = if i = 7 then 0x7F else 0xFF in
+                     Char.code c land mask = (v asr (8 * i)) land mask ->
+                ()
+              | Some _ -> fail "load64 s%d @%d: byte %d differs" s a i
+              | None -> fail "load64 s%d @%d: read an unmapped page" s a)
+            want
+        | exception Mem.Address_space.Segfault _ ->
+          if List.for_all Option.is_some want then
+            fail "load64 s%d @%d: segfault on mapped pages" s a)
+      | Store64 (s, a, v) ->
+        let faulted = segv (fun () -> Mem.Address_space.store64 real.(s) a v) in
+        let rec model i =
+          i = 8
+          || store_byte m s (a + i) (Char.chr ((v asr (8 * i)) land 0xFF))
+             && model (i + 1)
+        in
+        if faulted = model 0 then fail "store64 s%d @%d: segfault disagrees" s a
+      | Write_bytes (s, a, n, c) ->
+        let faulted =
+          segv (fun () ->
+              ignore (Mem.Address_space.write_bytes real.(s) ~addr:a (Bytes.make n c)))
+        in
+        (* The real path walks page-sized chunks: a chunk on an unmapped
+           page faults before any of its bytes land. *)
+        let rec model i =
+          i >= n
+          ||
+          let vpn = (a + i) / psize in
+          let chunk = min (n - i) (psize - ((a + i) mod psize)) in
+          Hashtbl.mem m.spaces.(s) vpn
+          && begin
+               for j = i to i + chunk - 1 do
+                 ignore (store_byte m s (a + j) c)
+               done;
+               model (i + chunk)
+             end
+        in
+        if faulted = model 0 then
+          fail "write_bytes s%d @%d x%d: segfault disagrees" s a n
+      | Free_all s ->
+        Mem.Page_table.free_all (Mem.Address_space.page_table real.(s));
+        free_model s
+    in
+    List.iter
+      (fun op ->
+        step op;
+        check_agree ())
+      ops;
+    true
+end
+
+let qcheck_page_path_model =
+  QCheck.Test.make ~name:"page path agrees with a copy-everything model"
+    ~count:300 Page_model.arb Page_model.run
+
+(* With the invariants switch on, a freed buffer is poisoned before it
+   joins the free list, and both allocation paths still hand back exactly
+   the bytes they promise when they recycle it. *)
+let test_poisoned_buffer_recycled () =
+  let saved = Sys.getenv_opt "PARALLAFT_INVARIANTS" in
+  Unix.putenv "PARALLAFT_INVARIANTS" "1";
+  let a = Mem.Frame.allocator ~page_size:64 in
+  Unix.putenv "PARALLAFT_INVARIANTS" (Option.value saved ~default:"");
+  let src = Mem.Frame.alloc_zero a in
+  Bytes.fill src.Mem.Frame.data 0 64 'x';
+  let victim = Mem.Frame.alloc_zero a in
+  Bytes.fill victim.Mem.Frame.data 0 64 'v';
+  let buf = victim.Mem.Frame.data in
+  Mem.Frame.decref a victim;
+  Alcotest.(check bool) "freed buffer poisoned (non-zero, not old bytes)" true
+    (Bytes.for_all (fun c -> c <> '\000' && c <> 'v') buf);
+  let z = Mem.Frame.alloc_zero a in
+  Alcotest.(check bool) "alloc_zero recycled the buffer" true (z.Mem.Frame.data == buf);
+  Alcotest.(check string) "alloc_zero zeroed it" (String.make 64 '\000')
+    (Bytes.to_string z.Mem.Frame.data);
+  Mem.Frame.decref a z;
+  let c = Mem.Frame.alloc_copy a src in
+  Alcotest.(check bool) "alloc_copy recycled the buffer" true (c.Mem.Frame.data == buf);
+  Alcotest.(check string) "alloc_copy copied exactly" (String.make 64 'x')
+    (Bytes.to_string c.Mem.Frame.data);
+  Alcotest.(check bool) "fresh ids" true
+    (c.Mem.Frame.id > z.Mem.Frame.id && z.Mem.Frame.id > victim.Mem.Frame.id)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "mem"
@@ -426,6 +721,7 @@ let () =
           tc "generation bumps in place only" `Quick
             test_frame_generation_bumps_in_place_only;
           tc "frame_view consistent" `Quick test_frame_view_consistent;
+          tc "poisoned buffer recycled" `Quick test_poisoned_buffer_recycled;
         ] );
       ( "page_table",
         [
@@ -439,6 +735,7 @@ let () =
           tc "copies counted" `Quick test_cow_copy_counted;
           QCheck_alcotest.to_alcotest qcheck_cow_preserves_parent;
           QCheck_alcotest.to_alcotest qcheck_frame_refcounts_match_mappings;
+          QCheck_alcotest.to_alcotest qcheck_page_path_model;
         ] );
       ( "dirty-tracking",
         [
