@@ -107,11 +107,13 @@ block-cache-smoke: build
 # (must verify clean, exit 0) and assert the page compression actually
 # compresses (ratio > 1.0 in the seglog.* stats rows). Then the other
 # direction: a run with an injected checker fault (live exit 3) must
-# also diverge offline (replay exit 3). Both legs run with the
-# segment-pipeline invariants on.
+# also diverge offline (replay exit 3), and so must a run with a
+# main-memory fault, whose corruption reaches the log only through the
+# recorded dirty-page payloads. All legs run with the segment-pipeline
+# invariants on.
 SEGLOG_SMOKE_ARGS := --platform testing --workload 401.bzip2 --scale 0.05 --period 3000
 seglog-smoke: build
-	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault
+	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault /tmp/parallaft_seglog_main
 	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
 	  --record-log /tmp/parallaft_seglog > /tmp/parallaft_seglog_run.out
 	awk '/^seglog.compression_ratio/ { r = $$2 } \
@@ -125,6 +127,12 @@ seglog-smoke: build
 	  > /tmp/parallaft_seglog_fault.out; test $$? -eq 3'
 	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay \
 	  /tmp/parallaft_seglog_fault; test $$? -eq 3'
+	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
+	  --fault 3,60,6,6 --fault-target main-mem \
+	  --record-log /tmp/parallaft_seglog_main \
+	  > /tmp/parallaft_seglog_main.out; test $$? -eq 3'
+	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay \
+	  /tmp/parallaft_seglog_main; test $$? -eq 3'
 
 # Fleet mode end to end (DESIGN.md §16): a 4-tenant fleet on the shared
 # core pool with every scheduling event swept by the fleet-scope

@@ -24,12 +24,6 @@
 
 open Cmdliner
 
-let platform_of_string = function
-  | "apple_m2" -> Ok Platform.apple_m2
-  | "intel_i7" -> Ok Platform.intel_i7
-  | "testing" -> Ok Platform.testing
-  | s -> Error (`Msg ("unknown platform " ^ s))
-
 type mode_arg = Mode_baseline | Mode_parallaft | Mode_raft
 
 let mode_of_string = function
@@ -138,8 +132,8 @@ let run platform_name mode_name period scale workload input asm_file seed
     show_output trace_file metrics_file fault fault_target recheck recovery
     profile block_cache cpu_stats tenants max_tenants arrival_gap record_log
     backend_name batch max_lag =
-  match platform_of_string platform_name with
-  | Error (`Msg m) ->
+  match Platform.of_name platform_name with
+  | Error m ->
     prerr_endline m;
     1
   | Ok platform -> (

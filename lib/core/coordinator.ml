@@ -118,7 +118,7 @@ let create ?rng ?prng ?fleet eng cfg ~program =
             if
               (not (Segment.torn_down seg))
               && Segment.phase seg = Segment.Checking_p
-              && Run_ctx.plan_covers plan ~id:(Segment.id seg)
+              && Fault.covers plan ~id:(Segment.id seg)
               && (plan.Fault.repeat || Segment.redispatches seg = 0)
             then begin
               let checker = Segment.checker seg in

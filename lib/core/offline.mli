@@ -3,15 +3,20 @@
     [parallaft_replay] re-checks a [--record-log] directory without the
     original run: a fresh simulation is created from the manifest's
     platform/seed/program identity and one traced process re-executes
-    the whole recorded history segment by segment, driven by exactly
-    the live checker's replay mechanics — interactions answered from
-    the record, anonymous mmaps pinned to the recorded addresses,
-    external signals delivered at their recorded execution points,
-    boundary file-backed mmaps re-established from the preamble
-    records. At every segment end the process's registers and the
-    recorded dirty pages are compared byte for byte; after the last
-    segment the final-state digest is recomputed and checked against
-    the manifest.
+    the whole recorded history segment by segment.
+
+    The replay mechanics are the live checker's own: each decoded
+    segment's events are loaded into an {!Rr_log} and driven through
+    {!Replay_step} — interactions answered from the record, anonymous
+    mmaps pinned to the recorded addresses, external signals delivered
+    at their recorded execution points, checker-side fault plans
+    re-armed — so an interaction divergence carries the same
+    {!Detection.outcome} wording as the live run. This module adds what
+    only the offline side has: the boundary file-backed mmaps
+    re-established from each segment's preamble, the byte-for-byte
+    comparison of registers and recorded dirty pages at every segment
+    end, and the final-state digest ({!Stats.state_digest}) checked
+    against the manifest after the last segment.
 
     Known limitation (documented in DESIGN.md §17): externally
     effectful syscalls are answered from the record, never re-executed,
@@ -39,6 +44,8 @@ type divergence = {
       (** segment-relative execution point where the divergence was
           established (the first diverging point the replay can name) *)
   reason : string;
+      (** {!Detection.outcome_to_string} of a {!Replay_step} failure, or
+          the boundary comparison's own description *)
   reg_diffs : reg_diff list;  (** non-empty for register-state mismatches *)
   page_diff : page_diff option;
 }

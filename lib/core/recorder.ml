@@ -66,8 +66,8 @@ let start_segment t =
      exactly one segment id, which rollback never reuses. *)
   (match t.cfg.Config.fault_plan with
   | Some plan
-    when Fault.targets_main plan && plan_covers plan ~id:(Segment.id seg) ->
-    arm_plan_on_cpu (main_cpu t) plan
+    when Fault.targets_main plan && Fault.covers plan ~id:(Segment.id seg) ->
+    Fault.arm_on_cpu (main_cpu t) plan
   | Some _ | None -> ());
   arm_slice t
 
@@ -141,19 +141,8 @@ let end_segment t =
    captured before the engine retires the process and frees its address
    space. Meta-level measurement — charges no simulated time. *)
 let capture_final_state t =
-  let cpu = main_cpu t in
-  t.stats.Stats.final_regs <- Some (Machine.Cpu.snapshot_regs cpu);
-  let pt = page_table_of t t.main in
-  let vpns = Mem.Page_table.mapped_vpns pt in
-  Array.sort compare vpns;
-  let st = Ftr_hash.Xxh64.init () in
-  Array.iter
-    (fun vpn ->
-      Ftr_hash.Xxh64.update_int64 st (Int64.of_int vpn);
-      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
-      Ftr_hash.Xxh64.update st bytes ~pos:0 ~len:(Bytes.length bytes))
-    vpns;
-  t.stats.Stats.final_mem_hash <- Some (Ftr_hash.Xxh64.digest st)
+  t.stats.Stats.final_state <-
+    Some (Stats.state_digest (main_cpu t) (page_table_of t t.main))
 
 let on_main_exited t =
   t.main_exited <- true;
@@ -213,35 +202,32 @@ let wake_waiting_checker t =
   | Some _ | None -> ()
 
 let record_and_pass t call =
-  let in_data =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Write { addr; len; _ } -> read_mem_opt t t.main ~addr ~len
-    | Sim_os.Syscall.Open { path_addr; path_len; _ } ->
-      read_mem_opt t t.main ~addr:path_addr ~len:path_len
-    | _ -> None
-  in
+  let in_data = Replay_step.arg_data t.eng t.main call in
   E.do_syscall t.eng t.main;
   let result = Machine.Cpu.get_reg (main_cpu t) 0 in
   let effects =
     match (call : Sim_os.Syscall.call) with
     | Sim_os.Syscall.Read { addr; _ } when result > 0 -> (
       match read_mem_opt t t.main ~addr ~len:result with
-      | Some data -> [ { Rr_log.addr; data } ]
+      | Some data -> [ { Seglog.Record.addr; data } ]
       | None -> [])
     | Sim_os.Syscall.Getrandom { addr; _ } when result > 0 -> (
       match read_mem_opt t t.main ~addr ~len:result with
-      | Some data -> [ { Rr_log.addr; data } ]
+      | Some data -> [ { Seglog.Record.addr; data } ]
       | None -> [])
     | _ -> []
   in
   let bytes =
     (match in_data with Some b -> Bytes.length b | None -> 0)
-    + List.fold_left (fun acc { Rr_log.data; _ } -> acc + Bytes.length data) 0 effects
+    + List.fold_left
+        (fun acc (e : Seglog.Record.mem_effect) -> acc + Bytes.length e.data)
+        0 effects
   in
   charge_record t
     ?segment:(match t.cur with Some s -> Some (Segment.id s) | None -> None)
     t.main ~bytes;
-  Rr_log.record (current_log t) (Rr_log.Sys { call; in_data; result; effects });
+  Rr_log.record (current_log t)
+    (Seglog.Record.Sys { call; in_data; result; effects });
   t.stats.Stats.syscalls_recorded <- t.stats.Stats.syscalls_recorded + 1;
   emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
     ~args:
@@ -276,7 +262,8 @@ let mmap_split t call =
         read_mem_opt t t.main ~addr:result ~len
       | _ -> None
     in
-    Seglog_io.note_preamble out { Rr_log.call; in_data; result; effects = [] });
+    Seglog_io.note_preamble out
+      { Seglog.Record.call; in_data; result; effects = [] });
   start_segment t;
   E.resume t.eng t.main
 
@@ -313,7 +300,7 @@ let handle_main_event t ev =
     | _ -> record_and_pass t call)
   | E.Nondet insn ->
     let value = emulate_nondet t t.main insn in
-    Rr_log.record (current_log t) (Rr_log.Nondet { insn; value });
+    Rr_log.record (current_log t) (Seglog.Record.Nondet { insn; value });
     t.stats.Stats.nondet_recorded <- t.stats.Stats.nondet_recorded + 1;
     emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant "nondet.record";
     wake_waiting_checker t;
@@ -326,7 +313,7 @@ let handle_main_event t ev =
     boundary t
   | E.Signal signum -> (
     Rr_log.record (current_log t)
-      (Rr_log.Ext_signal { at = exec_point_now t; signum });
+      (Seglog.Record.Ext_signal { at = exec_point_now t; signum });
     t.stats.Stats.signals_recorded <- t.stats.Stats.signals_recorded + 1;
     emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
       ~args:[ ("signum", Obs.Trace.Int signum) ]

@@ -1,7 +1,7 @@
 (* The replay/check stage: everything driven by checker tracer events.
-   Launches checkers over recorded segments, replays their R/R logs,
-   drives them to the recorded execution points, compares program
-   state, and classifies divergences. *)
+   Launches checkers over recorded segments, steps their replay through
+   Replay_step, compares program state at the segment end, and
+   classifies divergences. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -10,36 +10,14 @@ let record_error = Run_ctx.record_detection
 
 let launch_checker t seg =
   let checker = Segment.checker seg in
-  let cpu = E.cpu t.eng checker in
   let r = Segment.recorded seg in
-  let signal_points = Rr_log.signal_points r.Segment.log in
-  (* In RAFT streaming mode the checker may have executed past some
-     signal points already; only the remaining ones become targets. *)
-  let remaining_signals =
-    List.filter
-      (fun (at, _) -> at.Exec_point.branches >= Machine.Cpu.branches cpu)
-      signal_points
+  let targets =
+    Replay_step.arm (E.cpu t.eng checker) ~log:r.Segment.log
+      ~end_point:r.Segment.end_point ~branch_base:0 ~insn_base:0
+      ~insn_delta:r.Segment.insn_delta ~timeout_scale:t.cfg.Config.timeout_scale
+      ~plan:t.cfg.Config.fault_plan ~segment:(Segment.id seg)
+      ~redispatches:(Segment.redispatches seg)
   in
-  let targets = List.map fst remaining_signals @ [ r.Segment.end_point ] in
-  let replay = Exec_point.start_replay ~targets ~cpu in
-  let timeout =
-    max 1000
-      (int_of_float
-         (t.cfg.Config.timeout_scale *. float_of_int r.Segment.insn_delta))
-  in
-  Machine.Cpu.arm_insn_overflow cpu ~target:timeout;
-  (* Checker-side fault arming. A one-shot plan must not chase the
-     segment onto its re-dispatched checker (the re-check would then
-     re-inject the very fault it is ruling out); a [repeat] plan is
-     stuck-at and re-arms everywhere it applies. Runtime faults are
-     armed by the coordinator's engine tick, not here. *)
-  (match t.cfg.Config.fault_plan with
-  | Some plan
-    when Fault.targets_checker plan
-         && plan_covers plan ~id:(Segment.id seg)
-         && (plan.Fault.repeat || Segment.redispatches seg = 0) ->
-    arm_plan_on_cpu cpu plan
-  | Some _ | None -> ());
   (* A streaming checker was launched when recording started and may be
      stalled at its next interaction; a Parallaft checker is launched
      here, once its segment is fully recorded. *)
@@ -68,8 +46,8 @@ let launch_checker t seg =
     | Some ns -> ns
     | None -> E.time_ns t.eng
   in
-  Segment.begin_checking seg ~replay ~pending_signals:remaining_signals
-    ~launched_at_ns;
+  Segment.begin_checking seg ~replay:targets.Replay_step.replay
+    ~pending_signals:targets.Replay_step.signals ~launched_at_ns;
   (* The backend's lease clock starts at the actual launch — a checker
      that dies before this point is handled by the pre-launch
      re-dispatch path, not a heartbeat expiry. *)
@@ -81,7 +59,7 @@ let launch_checker t seg =
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
-        ("targets", Obs.Trace.Int (List.length targets));
+        ("targets", Obs.Trace.Int (List.length targets.Replay_step.signals + 1));
         ("insns", Obs.Trace.Int r.Segment.insn_delta);
       ]
     "replay.start";
@@ -122,7 +100,7 @@ let redispatch_check t seg ~because outcome =
      before the pid (and its cpu) goes away. *)
   (match t.cfg.Config.fault_plan with
   | Some plan
-    when Fault.targets_checker plan && plan_covers plan ~id:(Segment.id seg) ->
+    when Fault.targets_checker plan && Fault.covers plan ~id:(Segment.id seg) ->
     t.stats.Stats.fi_fired <-
       t.stats.Stats.fi_fired || Machine.Cpu.fault_injected (E.cpu t.eng old)
   | Some _ | None -> ());
@@ -224,7 +202,7 @@ let really_finish_checker t seg outcome_opt =
      main-side plans are classified at run level by Runtime). *)
   (match t.cfg.Config.fault_plan with
   | Some plan
-    when Fault.targets_checker plan && plan_covers plan ~id:(Segment.id seg) ->
+    when Fault.targets_checker plan && Fault.covers plan ~id:(Segment.id seg) ->
     t.stats.Stats.fi_fired <-
       t.stats.Stats.fi_fired || Machine.Cpu.fault_injected cpu;
     t.stats.Stats.fi_outcome <-
@@ -339,18 +317,13 @@ let finish_checker_infra t seg outcome =
     redispatch_check t seg ~because:"checker-side failure" outcome
   else really_finish_checker t seg (Some outcome)
 
+(* The checker rests on the recorded segment end with its log fully
+   consumed: compare its state against the main's end-of-segment
+   snapshot. *)
 let reached_end t seg =
   let c = Segment.checking seg in
   let cpu = E.cpu t.eng (Segment.checker seg) in
-  Machine.Cpu.disarm_insn_overflow cpu;
-  let leftover = Rr_log.remaining_interactions c.Segment.cursor in
-  if leftover > 0 then
-    finish_checker t seg
-      (Some
-         (Detection.Detected
-            (Detection.Syscall_mismatch
-               { expected = "further recorded interactions"; got = "segment end" })))
-  else if t.cfg.Config.compare_states then begin
+  if t.cfg.Config.compare_states then begin
     match c.Segment.snapshot with
     | None -> finish_checker t seg None
     | Some snap ->
@@ -407,200 +380,39 @@ let reached_end t seg =
   end
   else finish_checker t seg None
 
-let rec advance t seg adv =
-  match (adv : Exec_point.advance) with
-  | Exec_point.Keep_running -> E.resume t.eng (Segment.checker seg)
-  | Exec_point.Reached pt -> (
-    let c = Segment.checking seg in
-    match c.Segment.pending_signals with
-    | (spt, signum) :: rest when Exec_point.compare spt pt = 0 ->
-      c.Segment.pending_signals <- rest;
-      E.deliver_signal_now t.eng (Segment.checker seg) signum;
-      (match E.state t.eng (Segment.checker seg) with
-      | E.Exited _ ->
-        (* The signal's default action killed the checker — the main
-           survived it, so this is a divergence. *)
-        finish_checker t seg
-          (Some (Detection.Exception_detected "killed by replayed signal"))
-      | E.Runnable | E.Stopped ->
-        Exec_point.next_target c.Segment.replay;
-        advance t seg (Exec_point.poll c.Segment.replay))
-    | _ -> reached_end t seg)
-
-let fail_checker t seg mismatch =
-  finish_checker t seg (Some (Detection.Detected mismatch))
-
-let apply_effects t pid effects =
-  List.iter
-    (fun { Rr_log.addr; data } ->
-      ignore (Mem.Address_space.write_bytes (E.aspace t.eng pid) ~addr data))
-    effects
-
-let replay_process_local t seg (rec_ : Rr_log.sys_record) call =
-  let cpu = E.cpu t.eng (Segment.checker seg) in
-  let restore_args =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Mmap { addr; flags; _ }
-      when flags land Sim_os.Syscall.map_anon <> 0 ->
-      (* Defeat ASLR divergence: pin the checker's mapping to the address
-         the kernel gave the main process (§4.3.2). The original argument
-         registers are restored afterwards so the rewrite is invisible to
-         the program-state comparison. *)
-      Machine.Cpu.set_reg cpu 1 rec_.result;
-      Machine.Cpu.set_reg cpu 4 (flags lor Sim_os.Syscall.map_fixed);
-      Some (addr, flags)
-    | _ -> None
-  in
-  E.do_syscall t.eng (Segment.checker seg);
-  (match restore_args with
-  | Some (addr, flags) ->
-    Machine.Cpu.set_reg cpu 1 addr;
-    Machine.Cpu.set_reg cpu 4 flags
-  | None -> ());
-  let verify_result =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Sigreturn -> false
-    | _ -> true
-  in
-  if verify_result && Machine.Cpu.get_reg cpu 0 <> rec_.result then
-    fail_checker t seg
-      (Detection.Syscall_mismatch
-         {
-           expected =
-             Printf.sprintf "%s = %d" (Sim_os.Syscall.name call) rec_.result;
-           got =
-             Printf.sprintf "%s = %d" (Sim_os.Syscall.name call)
-               (Machine.Cpu.get_reg cpu 0);
-         })
-  else E.resume t.eng (Segment.checker seg)
-
-let checker_syscall t seg call =
-  emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
-    ~phase:Obs.Trace.Instant
-    ~args:[ ("call", Obs.Trace.Str (Sim_os.Syscall.name call)) ]
-    "sys.replay";
-  match Segment.cursor seg with
-  | None ->
-    fail_checker t seg
-      (Detection.Extra_interaction { got = Sim_os.Syscall.name call })
-  | Some cursor -> (
-    match Rr_log.next_interaction cursor with
-    | None when Segment.phase seg = Segment.Recording_p ->
-      (* Streaming replay caught up with the recorder: wait. *)
-      Segment.set_waiting seg true
-    | None ->
-      fail_checker t seg
-        (Detection.Extra_interaction { got = Sim_os.Syscall.name call })
-    | Some (Rr_log.Nondet _) ->
-      fail_checker t seg
-        (Detection.Syscall_mismatch
-           {
-             expected = "nondeterministic instruction";
-             got = Sim_os.Syscall.name call;
-           })
-    | Some (Rr_log.Ext_signal _) ->
-      (* next_interaction never yields signals *)
-      assert false
-    | Some (Rr_log.Sys rec_) ->
-      if rec_.call <> call then
-        fail_checker t seg
-          (Detection.Syscall_mismatch
-             {
-               expected = Sim_os.Syscall.name rec_.call;
-               got = Sim_os.Syscall.name call;
-             })
-      else begin
-        (* Check argument data (e.g. write payloads) against the record. *)
-        let data_matches =
-          match rec_.in_data with
-          | None -> true
-          | Some expected -> (
-            let got =
-              match (call : Sim_os.Syscall.call) with
-              | Sim_os.Syscall.Write { addr; len; _ } ->
-                read_mem_opt t (Segment.checker seg) ~addr ~len
-              | Sim_os.Syscall.Open { path_addr; path_len; _ } ->
-                read_mem_opt t (Segment.checker seg) ~addr:path_addr
-                  ~len:path_len
-              | _ -> None
-            in
-            match got with
-            | Some b -> Bytes.equal b expected
-            | None -> false)
-        in
-        if not data_matches then
-          fail_checker t seg
-            (Detection.Syscall_data_mismatch
-               { syscall = Sim_os.Syscall.name call })
-        else
-          match Sim_os.Syscall.categorize call with
-          | Sim_os.Syscall.Process_local -> replay_process_local t seg rec_ call
-          | Sim_os.Syscall.Globally_effectful | Sim_os.Syscall.Non_effectful ->
-            (* Never re-executed: answer from the record so external
-               effects happen exactly once. *)
-            E.complete_syscall t.eng (Segment.checker seg) ~result:rec_.result;
-            apply_effects t (Segment.checker seg) rec_.effects;
-            let bytes =
-              List.fold_left
-                (fun acc { Rr_log.data; _ } -> acc + Bytes.length data)
-                0 rec_.effects
-            in
-            charge_record t ~segment:(Segment.id seg) (Segment.checker seg)
-              ~bytes;
-            E.resume t.eng (Segment.checker seg)
-      end)
-
-let checker_nondet t seg insn =
-  match Segment.cursor seg with
-  | None -> fail_checker t seg (Detection.Extra_interaction { got = "nondet" })
-  | Some cursor -> (
-    match Rr_log.next_interaction cursor with
-    | None when Segment.phase seg = Segment.Recording_p ->
-      Segment.set_waiting seg true
-    | Some (Rr_log.Nondet { insn = recorded_insn; value })
-      when recorded_insn = insn ->
-      let cpu = E.cpu t.eng (Segment.checker seg) in
-      (match Isa.Insn.writes_reg insn with
-      | Some reg -> Machine.Cpu.set_reg cpu reg value
-      | None -> ());
-      Machine.Cpu.set_pc cpu (Machine.Cpu.get_pc cpu + 1);
-      E.resume t.eng (Segment.checker seg)
-    | Some (Rr_log.Sys r) ->
-      fail_checker t seg
-        (Detection.Syscall_mismatch
-           { expected = Sim_os.Syscall.name r.call; got = "nondet instruction" })
-    | Some (Rr_log.Nondet _) | Some (Rr_log.Ext_signal _) | None ->
-      fail_checker t seg
-        (Detection.Extra_interaction { got = "nondet instruction" }))
-
-let fault_to_string (f : Machine.Cpu.fault) =
-  match f with
-  | Machine.Cpu.Segv { addr; write } ->
-    Printf.sprintf "SIGSEGV at %#x (%s)" addr (if write then "write" else "read")
-  | Machine.Cpu.Div_by_zero -> "SIGFPE (division by zero)"
-  | Machine.Cpu.Bad_pc pc -> Printf.sprintf "control flow left the code (pc=%d)" pc
-
 let handle_checker_event t seg ev =
   if Segment.is_done seg then () (* stale event after the segment completed *)
-  else
-    match (ev : E.event) with
-    | E.Syscall_entry call -> checker_syscall t seg call
-    | E.Nondet insn -> checker_nondet t seg insn
-    | E.Branch_overflow ->
-      advance t seg
-        (Exec_point.on_branch_overflow (Segment.checking seg).Segment.replay)
-    | E.Breakpoint ->
-      advance t seg
-        (Exec_point.on_breakpoint (Segment.checking seg).Segment.replay)
-    | E.Insn_overflow -> finish_checker t seg (Some Detection.Timeout_detected)
-    | E.Fault f ->
-      finish_checker t seg
-        (Some (Detection.Exception_detected (fault_to_string f)))
-    | E.Halted ->
-      finish_checker t seg
-        (Some (Detection.Exception_detected "checker ran past the segment end"))
-    | E.Cycle_overflow -> E.resume t.eng (Segment.checker seg)
-    | E.Signal _ ->
-      (* External signals target the main process; recorded there and
-         replayed by execution point, never delivered here directly. *)
-      E.resume t.eng (Segment.checker seg)
+  else begin
+    let checker = Segment.checker seg in
+    (match (ev : E.event) with
+    | E.Syscall_entry call ->
+      emit_ev t ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Instant
+        ~args:[ ("call", Obs.Trace.Str (Sim_os.Syscall.name call)) ]
+        "sys.replay"
+    | _ -> ());
+    let cursor =
+      match Segment.cursor seg with
+      | Some c -> c
+      | None ->
+        raise
+          (Segment.Invariant_violation
+             (Printf.sprintf "segment %d: checker event with no replay cursor"
+                (Segment.id seg)))
+    in
+    let targets =
+      match Segment.state seg with
+      | Segment.Checking c -> Some c.Segment.targets
+      | Segment.Recording _ | Segment.Awaiting_launch _ | Segment.Done -> None
+    in
+    match
+      Replay_step.step t.eng checker cursor
+        ~log_complete:(Segment.phase seg <> Segment.Recording_p)
+        ~answered:(fun bytes ->
+          charge_record t ~segment:(Segment.id seg) checker ~bytes)
+        targets ev
+    with
+    | Replay_step.Continue -> E.resume t.eng checker
+    | Replay_step.Wait_for_log -> Segment.set_waiting seg true
+    | Replay_step.Reached_end -> reached_end t seg
+    | Replay_step.Failed o -> finish_checker t seg (Some o)
+  end

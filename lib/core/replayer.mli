@@ -1,10 +1,15 @@
 (** The replay/check stage of the pipeline: checker tracer events.
 
-    Launches a checker over its fully recorded segment (replay targets,
-    timeout, optional fault injection), replays the segment's R/R log
-    against the checker's interactions, drives it to the recorded
-    execution points (§4.2), runs the program-state comparison at the
-    segment end, and classifies any divergence. A failed check is
+    The replay mechanics — arming the segment's execution-point targets,
+    instruction budget and checker-side fault plan, answering the
+    checker's interactions from the segment's R/R log, delivering
+    recorded signals, stopping at the segment end — live in
+    {!Replay_step}, shared with the offline engine ({!Offline}). This
+    module wraps them in the live pipeline: it launches and schedules
+    checkers, traces and charges their replay, acts on each
+    {!Replay_step.outcome} (resume, stall a streaming checker, fail),
+    runs the program-state comparison against the main's snapshot at
+    the segment end, and classifies the verdict. A failed check is
     handed to {!Recovery} (rollback or abort) — unless the re-check
     extension can still retry it on a fresh checker (DESIGN.md §13); a
     completing segment may release a main process held on

@@ -1,31 +1,3 @@
-(* The event types are re-exports of the serializable seglog records:
-   the live pipeline stores and replays exactly what the on-disk format
-   can express, so the in-memory path doubles as a proof that the
-   format is complete. *)
-
-type mem_effect = Seglog.Record.mem_effect = {
-  addr : int;
-  data : Bytes.t;
-}
-
-type sys_record = Seglog.Record.sys_record = {
-  call : Sim_os.Syscall.call;
-  in_data : Bytes.t option;
-  result : int;
-  effects : mem_effect list;
-}
-
-type event = Seglog.Record.event =
-  | Sys of sys_record
-  | Nondet of {
-      insn : Isa.Insn.t;
-      value : int;
-    }
-  | Ext_signal of {
-      at : Exec_point.t;
-      signum : Sim_os.Sig_num.t;
-    }
-
 (* The log IS a seglog event stream: [record] encodes straight into a
    growable byte buffer and cursors decode back out of it. Cursors hold
    byte positions, so the buffer can keep growing while a checker
@@ -56,8 +28,8 @@ let events t =
 let signal_points t =
   List.filter_map
     (function
-      | Ext_signal { at; signum } -> Some (at, signum)
-      | Sys _ | Nondet _ -> None)
+      | Seglog.Record.Ext_signal { at; signum } -> Some (at, signum)
+      | Seglog.Record.Sys _ | Seglog.Record.Nondet _ -> None)
     (events t)
 
 type cursor = {
@@ -74,8 +46,8 @@ let rec next_interaction c =
     let ev = Seglog.Record.get_event r in
     c.pos <- Seglog.Codec.rpos r;
     match ev with
-    | Ext_signal _ -> next_interaction c
-    | Sys _ | Nondet _ -> Some ev
+    | Seglog.Record.Ext_signal _ -> next_interaction c
+    | Seglog.Record.Sys _ | Seglog.Record.Nondet _ -> Some ev
   end
 
 let remaining_interactions c =
@@ -83,7 +55,7 @@ let remaining_interactions c =
   let count = ref 0 in
   while Seglog.Codec.remaining r > 0 do
     match Seglog.Record.get_event r with
-    | Sys _ | Nondet _ -> incr count
-    | Ext_signal _ -> ()
+    | Seglog.Record.Sys _ | Seglog.Record.Nondet _ -> incr count
+    | Seglog.Record.Ext_signal _ -> ()
   done;
   !count

@@ -27,8 +27,7 @@ type recorded = {
 type checking = {
   log : Rr_log.t;
   cursor : Rr_log.cursor;
-  replay : Exec_point.replay;
-  mutable pending_signals : (Exec_point.t * Sim_os.Sig_num.t) list;
+  targets : Replay_step.targets;
   end_point : Exec_point.t;
       (* retained from the recorded payload so a re-dispatch can rebuild
          the replay plan from scratch *)
@@ -178,8 +177,7 @@ let begin_checking t ~replay ~pending_signals ~launched_at_ns =
          {
            log = r.log;
            cursor;
-           replay;
-           pending_signals;
+           targets = { Replay_step.replay; signals = pending_signals };
            end_point = r.end_point;
            insn_delta = r.insn_delta;
            main_dirty = r.main_dirty;
@@ -328,7 +326,7 @@ let check_invariants t =
   | Checking c ->
     (* Replay targets are consumed in order; pending signals must never
        outlive the replay plan that carries them. *)
-    if Exec_point.finished c.replay && c.pending_signals <> [] then
+    if Exec_point.finished c.targets.replay && c.targets.signals <> [] then
       violation "segment %d: replay finished with %d pending signals" t.id
-        (List.length c.pending_signals)
+        (List.length c.targets.signals)
   | Recording _ | Awaiting_launch _ | Done -> ()

@@ -50,8 +50,7 @@ type recorded = {
 type checking = {
   log : Rr_log.t;
   cursor : Rr_log.cursor;
-  replay : Exec_point.replay;
-  mutable pending_signals : (Exec_point.t * Sim_os.Sig_num.t) list;
+  targets : Replay_step.targets;
   end_point : Exec_point.t;
       (** retained so {!redispatch} can rebuild the replay plan *)
   insn_delta : int;

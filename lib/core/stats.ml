@@ -50,8 +50,7 @@ type t = {
   mutable transient_faults : int;
   mutable watchdog_kills : int;
   mutable hard_faults : int;
-  mutable final_regs : int array option;
-  mutable final_mem_hash : int64 option;
+  mutable final_state : int64 option;
   mutable profile : (string * int) list;
   mutable block_cache : (int * int * int) option;
   mutable fleet : fleet option;
@@ -89,8 +88,7 @@ let create () =
     transient_faults = 0;
     watchdog_kills = 0;
     hard_faults = 0;
-    final_regs = None;
-    final_mem_hash = None;
+    final_state = None;
     profile = [];
     block_cache = None;
     fleet = None;
@@ -108,17 +106,27 @@ let create () =
       };
   }
 
-(* One digest over the main process's final architectural state
-   (register file folded with the memory image hash), for the SDC
-   oracle: two runs ending in the same state produce the same value. *)
-let final_state_hash t =
-  match (t.final_regs, t.final_mem_hash) with
-  | None, _ | _, None -> None
-  | Some regs, Some mem ->
-    let st = Ftr_hash.Xxh64.init () in
-    Array.iter (fun r -> Ftr_hash.Xxh64.update_int64 st (Int64.of_int r)) regs;
-    Ftr_hash.Xxh64.update_int64 st mem;
-    Some (Ftr_hash.Xxh64.digest st)
+(* One digest over a process's architectural state: the register file
+   folded with a hash of the memory image (vpn + page bytes, ascending
+   vpn order). *)
+let state_digest cpu pt =
+  let vpns = Mem.Page_table.mapped_vpns pt in
+  Array.sort compare vpns;
+  let mem = Ftr_hash.Xxh64.init () in
+  Array.iter
+    (fun vpn ->
+      Ftr_hash.Xxh64.update_int64 mem (Int64.of_int vpn);
+      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
+      Ftr_hash.Xxh64.update mem bytes ~pos:0 ~len:(Bytes.length bytes))
+    vpns;
+  let st = Ftr_hash.Xxh64.init () in
+  Array.iter
+    (fun r -> Ftr_hash.Xxh64.update_int64 st (Int64.of_int r))
+    (Machine.Cpu.snapshot_regs cpu);
+  Ftr_hash.Xxh64.update_int64 st (Ftr_hash.Xxh64.digest mem);
+  Ftr_hash.Xxh64.digest st
+
+let final_state_hash t = t.final_state
 
 let record_detection t ~segment outcome =
   t.detections <- (segment, outcome) :: t.detections

@@ -83,12 +83,9 @@ type t = {
   mutable hard_faults : int;
       (** detections re-observed after a rollback with no verified
           progress, classified {!Detection.Hard_fault}; aborts the run *)
-  mutable final_regs : int array option;
-      (** main's register file at exit, captured before the engine frees
-          the process (SDC oracle + rollback-exactness tests) *)
-  mutable final_mem_hash : int64 option;
-      (** digest of main's full memory image at exit (vpn + page bytes,
-          ascending vpn order) *)
+  mutable final_state : int64 option;
+      (** {!state_digest} of main at exit, captured before the engine
+          frees the process (SDC oracle + rollback-exactness tests) *)
   mutable profile : (string * int) list;
       (** name-sorted (phase, self_ns) rows from [Obs.Profile], filled by
           [Runtime] only when profiling was enabled; empty otherwise so
@@ -124,10 +121,15 @@ val detections_oldest_first : t -> (int * Detection.outcome) list
     newest-first storage order is reversed. [Runtime.report.detections]
     (documented oldest-first) is built with this. *)
 
+val state_digest : Machine.Cpu.t -> Mem.Page_table.t -> int64
+(** One digest over a process's register file and full memory image
+    (vpn + page bytes, ascending vpn order). Byte-identical states hash
+    equal. *)
+
 val final_state_hash : t -> int64 option
-(** Single digest over [final_regs] + [final_mem_hash]; [None] until the
-    main process exits. Byte-identical final states hash equal, which is
-    what the SDC oracle compares across faulted and fault-free runs. *)
+(** Main's {!state_digest} at exit; [None] until the main process
+    exits. The SDC oracle compares it across faulted and fault-free
+    runs, and offline replay recomputes it after the last segment. *)
 
 val big_core_work_fraction : t -> float
 (** Fraction of checker CPU time spent on big cores (the §5.2.1 "41.7%

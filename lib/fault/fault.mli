@@ -4,12 +4,11 @@
 
     A {!plan} names one fault: {e where} it strikes (the {!target}),
     {e when} (segment index + retired-instruction delay), and whether it
-    is transient (one-shot) or persistent ([repeat]). The runtime owns
-    the arming paths — register and memory faults go through the
-    {!Machine.Cpu} injection port of the targeted process, runtime
-    faults through a {!Sim_os.Engine} tick that kills or stalls the
-    checker mid-check — this module only describes faults and knows how
-    to draw, parse and print them. *)
+    is transient (one-shot) or persistent ([repeat]). Register and
+    memory faults are armed through {!arm_on_cpu} on the targeted
+    process's {!Machine.Cpu} injection port; the runtime decides which
+    process that is, and arms runtime faults itself through a
+    {!Sim_os.Engine} tick that kills or stalls the checker mid-check. *)
 
 (** What the fault corrupts.
 
@@ -61,6 +60,15 @@ val targets_checker : plan -> bool
     [Runtime_fault] — plans armed on the replay side. *)
 
 val targets_main : plan -> bool
+
+val covers : plan -> id:int -> bool
+(** Does the plan arm in segment [id]? Its own segment, plus every
+    later one when [repeat]. *)
+
+val arm_on_cpu : Machine.Cpu.t -> plan -> unit
+(** Arm a register or memory plan on [cpu]'s injection port, firing
+    after [delay_instructions] more retired instructions. Runtime
+    plans are a no-op here. *)
 
 val target_kind_to_string : target -> string
 (** The CLI keyword for the target's class:

@@ -253,3 +253,8 @@ let testing =
     dirty_tracking = Soft_dirty;
     slice_unit = Cycles;
   }
+
+let of_name name =
+  match List.find_opt (fun p -> p.name = name) [ apple_m2; intel_i7; testing ] with
+  | Some p -> Ok p
+  | None -> Error ("unknown platform " ^ name)

@@ -96,3 +96,7 @@ val intel_i7 : t
 val testing : t
 (** A miniature platform (2 big + 2 little, tiny caches, 4 KiB pages) so
     unit tests run fast and hit capacity limits easily. *)
+
+val of_name : string -> (t, string) result
+(** Look a platform up by its [name]: ["apple_m2"], ["intel_i7"] or
+    ["testing"]. The error is ["unknown platform NAME"]. *)

@@ -10,8 +10,9 @@
    - fingerprinting: version fields and the config digest are checked
      before anything is trusted, with the specific typed errors;
    - offline replay: a log recorded by a live run re-verifies offline
-     with the same verdict the live run produced, for both fault-free
-     and injected-fault runs. *)
+     with the same verdict the live run produced, for a fault-free run
+     and over random one-shot fault plans on every register/memory
+     target. *)
 
 let platform = Platform.testing
 let page_size = 256 (* log payload pages; independent of the platform *)
@@ -450,27 +451,60 @@ let offline_matches_clean_run () =
     Alcotest.(check (option bool)) "final state hash re-verified" (Some true)
       final_hash_matches
 
-let offline_matches_fault_verdict () =
+(* Live = offline verdict over random one-shot fault plans on the four
+   register/memory targets, recovery off. A main crash is the one
+   asymmetry: the crashing segment never reaches the log (the main died
+   before its boundary), so offline either verifies the persisted prefix
+   or diverges in an earlier segment the corruption already reached.
+   [repeat] plans stay out: live reports the first detection in
+   simulated time, which can be a later segment than the first one
+   offline replays wrong. *)
+let main_crash = "main fault (injected corruption)"
+
+let gen_one_shot_plan =
+  QCheck.Gen.(
+    let* segment = 0 -- 7 in
+    let* delay_instructions = 0 -- 400 in
+    let* index = 0 -- 15 in
+    let* bit = 0 -- 63 in
+    let reg = index mod Isa.Insn.num_regs in
+    let* target =
+      oneofl
+        [ Fault.Checker_register { reg; bit };
+          Fault.Checker_memory_page { page_index = index; bit };
+          Fault.Main_register { reg; bit };
+          Fault.Main_memory_page { page_index = index; bit } ]
+    in
+    return { Fault.segment; delay_instructions; target; repeat = false })
+
+let qcheck_live_offline_verdicts =
   let dir = e2e_dir "seglog_e2e_fault" in
-  let fault_plan =
-    Some
-      { Fault.segment = 2;
-        delay_instructions = 60;
-        target = Fault.Checker_memory_page { page_index = 6; bit = 6 };
-        repeat = false
-      }
-  in
-  let r = record_run ?fault_plan dir in
-  let live_segments = List.map fst r.Parallaft.Runtime.detections in
-  Alcotest.(check bool) "live run detected the fault" true (live_segments <> []);
-  let manifest, segments = load_log dir in
-  match Parallaft.Offline.replay ~manifest ~segments with
-  | Error e -> Alcotest.failf "offline replay: %s" e
-  | Ok (Parallaft.Offline.Verified _) ->
-    Alcotest.fail "offline replay missed the fault the live run detected"
-  | Ok (Parallaft.Offline.Diverged d) ->
-    Alcotest.(check int) "offline divergence names the live detection segment"
-      (List.hd live_segments) d.Parallaft.Offline.segment
+  QCheck.Test.make ~count:40 ~name:"fault verdict reproduced offline"
+    (QCheck.make ~print:Fault.to_string gen_one_shot_plan)
+    (fun plan ->
+      let r = record_run ~fault_plan:plan dir in
+      let manifest, segments = load_log dir in
+      match
+        (r.Parallaft.Runtime.detections, Parallaft.Offline.replay ~manifest ~segments)
+      with
+      | _, Error e -> QCheck.Test.fail_reportf "offline replay: %s" e
+      | [], Ok (Parallaft.Offline.Verified _) -> true
+      | (s, Parallaft.Detection.Exception_detected m) :: _, Ok v when m = main_crash
+        -> (
+        match v with
+        | Parallaft.Offline.Verified _ -> true
+        | Parallaft.Offline.Diverged d -> d.Parallaft.Offline.segment < s)
+      | (s, _) :: _, Ok (Parallaft.Offline.Diverged d) ->
+        d.Parallaft.Offline.segment = s
+      | live, Ok v ->
+        QCheck.Test.fail_reportf "live %s, offline %s"
+          (match live with
+          | [] -> "verified"
+          | (s, o) :: _ ->
+            Printf.sprintf "segment %d: %s" s (Parallaft.Detection.outcome_to_string o))
+          (match v with
+          | Parallaft.Offline.Verified _ -> "verified"
+          | Parallaft.Offline.Diverged d -> Parallaft.Offline.divergence_report d))
 
 let () =
   Alcotest.run "seglog"
@@ -485,6 +519,5 @@ let () =
       ( "offline",
         [ Alcotest.test_case "clean run re-verifies offline" `Slow
             offline_matches_clean_run;
-          Alcotest.test_case "fault verdict reproduced offline" `Slow
-            offline_matches_fault_verdict ] )
+          QCheck_alcotest.to_alcotest qcheck_live_offline_verdicts ] )
     ]
