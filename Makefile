@@ -46,7 +46,8 @@ invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 
 # Byte-identity pin of the pipeline refactor: fixed-seed stats + Perfetto
-# traces of four scenarios (Parallaft/RAFT x recovery off/on) diffed
+# traces of eight scenarios (Parallaft/RAFT x recovery off/on, plus the
+# deferred, remote, runtime-kill and main-fault response paths) diffed
 # against the goldens committed under test/goldens/.
 golden-check: build
 	dune build @golden
