@@ -1,7 +1,7 @@
 (* The record stage: everything driven by main-process tracer events.
    Slices the main into segments, records its application/OS
-   interactions into the current segment's R/R log, and hands each
-   finished segment to the replayer through the [launch_checker] seam. *)
+   interactions into the current segment's R/R log, and submits each
+   finished segment to the checker backend. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -135,7 +135,7 @@ let end_segment t =
     t.cur <- None;
     t.live <- t.live @ [ seg ];
     t.stats.Stats.segments_total <- t.stats.Stats.segments_total + 1;
-    t.launch_checker seg
+    Checker_backend.submit t seg
 
 (* SDC oracle input: main's architectural state at the moment of exit,
    captured before the engine retires the process and frees its address
@@ -285,10 +285,17 @@ let emulate_nondet t pid insn =
   Machine.Cpu.set_pc cpu (Machine.Cpu.get_pc cpu + 1);
   value
 
+(* What the run must do after a main-process event. Rollback and abort
+   live in Recovery, above this module; the coordinator acts on these. *)
+type response =
+  | Handled
+  | Abort
+  | Recover_or_abort
+
 let handle_main_event t ev =
   match (ev : E.event) with
-  | E.Syscall_entry call -> (
-    match call with
+  | E.Syscall_entry call ->
+    (match call with
     | Sim_os.Syscall.Exit _ ->
       end_segment t;
       capture_final_state t;
@@ -297,20 +304,23 @@ let handle_main_event t ev =
     | Sim_os.Syscall.Mmap { flags; fd; _ }
       when flags land Sim_os.Syscall.map_anon = 0 && fd >= 0 ->
       mmap_split t call
-    | _ -> record_and_pass t call)
+    | _ -> record_and_pass t call);
+    Handled
   | E.Nondet insn ->
     let value = emulate_nondet t t.main insn in
     Rr_log.record (current_log t) (Seglog.Record.Nondet { insn; value });
     t.stats.Stats.nondet_recorded <- t.stats.Stats.nondet_recorded + 1;
     emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant "nondet.record";
     wake_waiting_checker t;
-    E.resume t.eng t.main
+    E.resume t.eng t.main;
+    Handled
   | E.Cycle_overflow | E.Insn_overflow ->
     t.stats.Stats.nr_slices <- t.stats.Stats.nr_slices + 1;
     emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
       ~args:[ ("nr", Obs.Trace.Int t.stats.Stats.nr_slices) ]
       "slice";
-    boundary t
+    boundary t;
+    Handled
   | E.Signal signum -> (
     Rr_log.record (current_log t)
       (Seglog.Record.Ext_signal { at = exec_point_now t; signum });
@@ -322,13 +332,16 @@ let handle_main_event t ev =
     match E.state t.eng t.main with
     | E.Exited _ ->
       (* Signal-terminated: nothing left to protect. *)
-      t.abort_run ()
-    | E.Runnable | E.Stopped -> E.resume t.eng t.main)
+      Abort
+    | E.Runnable | E.Stopped ->
+      E.resume t.eng t.main;
+      Handled)
   | E.Halted ->
     end_segment t;
     capture_final_state t;
     E.force_exit t.eng t.main ~status:0;
-    on_main_exited t
+    on_main_exited t;
+    Handled
   | E.Fault _ ->
     latch_main_fault t;
     let injected =
@@ -346,12 +359,13 @@ let handle_main_event t ev =
         record_detection t seg
           (Detection.Exception_detected "main fault (injected corruption)")
       | None -> ());
-      t.recover_or_abort ()
+      Recover_or_abort
     end
     else
       (* An application bug in the main process: outside the threat
          model; terminate the protected run. *)
-      t.abort_run ()
+      Abort
   | E.Breakpoint | E.Branch_overflow ->
     (* Never armed on the main process. *)
-    E.resume t.eng t.main
+    E.resume t.eng t.main;
+    Handled

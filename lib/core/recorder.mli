@@ -3,8 +3,8 @@
     Slices the main process into segments, records every
     application/OS interaction into the current segment's R/R log
     (§3.2), forks the per-segment checker and checkpoint processes,
-    and hands each fully recorded segment to the replayer through the
-    {!Run_ctx.t.launch_checker} seam. *)
+    and submits each fully recorded segment to the checker backend
+    ({!Checker_backend.submit}). *)
 
 val start_segment : Run_ctx.t -> unit
 (** Fork the next checker, open a fresh [Recording] segment as
@@ -12,9 +12,20 @@ val start_segment : Run_ctx.t -> unit
     recovery to restart the pipeline after a rollback. *)
 
 val do_boundary : Run_ctx.t -> unit
-(** End the current segment (launching its checker) and, unless the
-    main has exited, start the next one. The replayer calls this when a
-    completing segment releases a main process held on
+(** End the current segment (submitting it to the backend) and, unless
+    the main has exited, start the next one. The replayer calls this
+    when a completing segment releases a main process held on
     [max_live_segments]. *)
 
-val handle_main_event : Run_ctx.t -> Sim_os.Engine.event -> unit
+(** What the run must do after a main-process event. *)
+type response =
+  | Handled  (** nothing further *)
+  | Abort
+      (** the main died outside the threat model (a signal, or an
+          application fault): terminate the protected run *)
+  | Recover_or_abort
+      (** an injected main-side fault surfaced as an exception and was
+          recorded as a detection: roll back if the recovery budget
+          allows, abort otherwise *)
+
+val handle_main_event : Run_ctx.t -> Sim_os.Engine.event -> response

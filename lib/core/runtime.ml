@@ -44,16 +44,16 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
-  let coord = Coordinator.create ?rng ?prng eng config ~program in
   let seglog_out =
     match config.Config.record_log with
     | None -> None
     | Some dir -> (
       match Seglog_io.create ~dir ~cfg:config ~platform ~program ~seed with
-      | Ok out ->
-        Coordinator.attach_seglog coord out;
-        Some out
+      | Ok out -> Some out
       | Error msg -> failwith ("record-log: " ^ msg))
+  in
+  let coord =
+    Coordinator.create ?rng ?prng ?seglog:seglog_out eng config ~program
   in
   (match before_run with Some f -> f eng coord | None -> ());
   E.run ~max_ns:max_sim_ns eng;
