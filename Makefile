@@ -52,10 +52,11 @@ invariants: build
 golden-check: build
 	dune build @golden
 
-# The comparator fast paths end to end: runs both comparator fixtures
-# once and asserts the cold->warm accounting (identity skips happen,
-# page_hash_hits > 0, a warm compare hashes at most half the cold
-# compare's bytes). Exits nonzero on any regression.
+# The comparator's work accounting end to end: runs both comparator
+# fixtures once and asserts Match verdicts, that identity skips happen,
+# and the exact bytes hashed (16 unshared pages on the shared fixture,
+# all 256 on the diverged one, both sides). Exits nonzero on any
+# regression.
 compare-smoke: build
 	PARALLAFT_QUICK=1 dune exec bench/main.exe -- --compare-smoke
 

@@ -5,17 +5,9 @@ type result =
 type compare_stats = {
   bytes_hashed : int;
   pages_skipped_identical : int;
-  page_hash_hits : int;
-  page_hash_misses : int;
 }
 
-let no_stats =
-  {
-    bytes_hashed = 0;
-    pages_skipped_identical = 0;
-    page_hash_hits = 0;
-    page_hash_misses = 0;
-  }
+let no_stats = { bytes_hashed = 0; pages_skipped_identical = 0 }
 
 (* Merge two sorted vpn arrays into a fresh sorted duplicate-free array.
    A single linear pass into a worst-case-sized buffer; the [push]
@@ -61,7 +53,7 @@ let union_sorted a b =
   end
 
 (* The per-side hashing state: either streaming XXH64 or an FNV
-   accumulator. Memory pages contribute per-frame digests (below), so
+   accumulator. Memory pages contribute whole-page digests (below), so
    only vpns and digests ever flow through here. *)
 type hash_state =
   | Xxh of Ftr_hash.Xxh64.state
@@ -111,7 +103,7 @@ let compare_registers ~reference ~candidate =
   in
   scan 0
 
-let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
+let compare_states ~hasher ~reference ~candidate ~dirty_vpns () =
   match compare_registers ~reference ~candidate with
   | Some m -> (Mismatch m, no_stats)
   | None ->
@@ -121,28 +113,7 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
     let cand_state = make_state hasher in
     let bytes = ref 0 in
     let skipped = ref 0 in
-    let hits = ref 0 in
-    let misses = ref 0 in
     let layout_issue = ref None in
-    (* The digest of one side of one vpn, through the memo when one is
-       supplied. Only misses read and hash page bytes. *)
-    let side_digest (frame, generation, data) =
-      match cache with
-      | None ->
-        bytes := !bytes + Bytes.length data;
-        page_digest hasher data
-      | Some c -> (
-        match Mem.Page_digest_cache.find c ~frame ~generation with
-        | Some d ->
-          incr hits;
-          d
-        | None ->
-          incr misses;
-          bytes := !bytes + Bytes.length data;
-          let d = page_digest hasher data in
-          Mem.Page_digest_cache.store c ~frame ~generation d;
-          d)
-    in
     let n = Array.length dirty_vpns in
     let i = ref 0 in
     while !layout_issue = None && !i < n do
@@ -157,12 +128,8 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
         | true, false | false, true ->
           layout_issue := Some (Detection.Layout_mismatch { vpn })
         | true, true ->
-          let ((_, _, ref_data) as ref_view) =
-            Mem.Page_table.frame_view ref_pt ~vpn
-          in
-          let ((_, _, cand_data) as cand_view) =
-            Mem.Page_table.frame_view cand_pt ~vpn
-          in
+          let ref_data = Mem.Page_table.read_bytes_at ref_pt ~vpn in
+          let cand_data = Mem.Page_table.read_bytes_at cand_pt ~vpn in
           if ref_data == cand_data then
             (* Both sides still map the same COW frame (physical identity
                of the backing bytes — frame ids are only unique within
@@ -171,25 +138,19 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
                lockstep, so the verdict is unchanged. *)
             incr skipped
           else begin
+            bytes := !bytes + Bytes.length ref_data + Bytes.length cand_data;
             mix_int ref_state vpn;
             mix_int cand_state vpn;
-            mix_digest ref_state (side_digest ref_view);
-            mix_digest cand_state (side_digest cand_view)
+            mix_digest ref_state (page_digest hasher ref_data);
+            mix_digest cand_state (page_digest hasher cand_data)
           end
       end;
       incr i
     done;
-    let stats () =
-      {
-        bytes_hashed = !bytes;
-        pages_skipped_identical = !skipped;
-        page_hash_hits = !hits;
-        page_hash_misses = !misses;
-      }
-    in
+    let stats = { bytes_hashed = !bytes; pages_skipped_identical = !skipped } in
     (match !layout_issue with
-    | Some m -> (Mismatch m, stats ())
+    | Some m -> (Mismatch m, stats)
     | None ->
       let expected_hash = digest ref_state and got_hash = digest cand_state in
-      if Int64.equal expected_hash got_hash then (Match, stats ())
-      else (Mismatch (Detection.Memory_mismatch { expected_hash; got_hash }), stats ()))
+      if Int64.equal expected_hash got_hash then (Match, stats)
+      else (Mismatch (Detection.Memory_mismatch { expected_hash; got_hash }), stats))

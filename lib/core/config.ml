@@ -36,7 +36,6 @@ type t = {
   hasher : hasher;
   compare_states : bool;
   dirty_backend : dirty_backend;
-  page_hash_cache_pages : int;
   main_core : int;
   checkers_on_little : bool;
   pacer_tick_ns : int;
@@ -117,7 +116,6 @@ let parallaft ~platform ?slice_period () =
     hasher = Xxh64_hash;
     compare_states = true;
     dirty_backend = backend_of_platform platform;
-    page_hash_cache_pages = 4096;
     main_core = 0;
     checkers_on_little = true;
     pacer_tick_ns = 100_000;
@@ -146,7 +144,6 @@ let raft ~platform () =
     hasher = Xxh64_hash;
     compare_states = false;
     dirty_backend = backend_of_platform platform;
-    page_hash_cache_pages = 4096;
     main_core = 0;
     checkers_on_little = false;
     pacer_tick_ns = 100_000;

@@ -67,11 +67,6 @@ type t = {
   hasher : hasher;
   compare_states : bool;
   dirty_backend : dirty_backend;
-  page_hash_cache_pages : int;
-      (** capacity (in pages) of the comparator's per-frame digest memo
-          ({!Mem.Page_digest_cache}); bounds the memory the O(dirty)
-          compare path may pin. Values [<= 0] disable the memo (every
-          page is hashed from scratch). *)
   main_core : int;
   checkers_on_little : bool;
   pacer_tick_ns : int;

@@ -239,8 +239,7 @@ let reached_end t seg =
       let union = Comparator.union_sorted c.Segment.main_dirty checker_dirty in
       let verdict, cs =
         Comparator.compare_states ~hasher:t.cfg.Config.hasher
-          ?cache:t.page_digests ~reference:(E.cpu t.eng snap) ~candidate:cpu
-          ~dirty_vpns:union ()
+          ~reference:(E.cpu t.eng snap) ~candidate:cpu ~dirty_vpns:union ()
       in
       let bytes = cs.Comparator.bytes_hashed in
       charge_hash t ~segment:(Segment.id seg) (Segment.checker seg) ~bytes;
@@ -248,10 +247,8 @@ let reached_end t seg =
       t.stats.Stats.pages_skipped_identical <-
         t.stats.Stats.pages_skipped_identical
         + cs.Comparator.pages_skipped_identical;
-      t.stats.Stats.page_hash_hits <-
-        t.stats.Stats.page_hash_hits + cs.Comparator.page_hash_hits;
       t.stats.Stats.page_hash_misses <-
-        t.stats.Stats.page_hash_misses + cs.Comparator.page_hash_misses;
+        t.stats.Stats.page_hash_misses + (bytes / (plat t).Platform.page_size);
       t.stats.Stats.segments_compared <- t.stats.Stats.segments_compared + 1;
       emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
         ~phase:Obs.Trace.Instant
@@ -261,8 +258,6 @@ let reached_end t seg =
             ("bytes", Obs.Trace.Int bytes);
             ( "skipped_identical",
               Obs.Trace.Int cs.Comparator.pages_skipped_identical );
-            ("hash_hits", Obs.Trace.Int cs.Comparator.page_hash_hits);
-            ("hash_misses", Obs.Trace.Int cs.Comparator.page_hash_misses);
             ( "verdict",
               Obs.Trace.Str
                 (match verdict with
@@ -273,11 +268,6 @@ let reached_end t seg =
       observe t "compare.bytes" (float_of_int bytes);
       observe t "compare.pages_skipped"
         (float_of_int cs.Comparator.pages_skipped_identical);
-      (match t.cfg.Config.obs with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.add s "compare.page_hash_hits" cs.Comparator.page_hash_hits;
-        Obs.Sink.add s "compare.page_hash_misses" cs.Comparator.page_hash_misses);
       finish_checker t seg
         (match verdict with
         | Comparator.Match -> None

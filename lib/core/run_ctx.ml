@@ -88,11 +88,6 @@ type t = {
   roles : (E.pid, role) Hashtbl.t;
   mutable cur : Segment.t option;  (* the segment being recorded *)
   mutable live : Segment.t list;  (* recorded segments with running checkers *)
-  (* Per-frame page-digest memo shared by every segment comparison of the
-     run. Sound across rollbacks: frame ids are never reused and in-place
-     writes bump the generation, so stale entries can only miss. [None]
-     when the config disables the memo. *)
-  page_digests : Mem.Page_digest_cache.t option;
   mutable next_id : int;
   mutable seg_start_branches : int;
   mutable seg_start_insns : int;
@@ -136,12 +131,6 @@ let create ?rng ?fleet ?seglog eng cfg =
     roles = Hashtbl.create 16;
     cur = None;
     live = [];
-    page_digests =
-      (if cfg.Config.compare_states && cfg.Config.page_hash_cache_pages > 0 then
-         Some
-           (Mem.Page_digest_cache.create
-              ~capacity:cfg.Config.page_hash_cache_pages)
-       else None);
     next_id = 0;
     seg_start_branches = 0;
     seg_start_insns = 0;

@@ -153,8 +153,6 @@ let to_assoc t =
     ("comparator.dirty_pages", string_of_int t.dirty_pages_total);
     ("comparator.bytes_hashed", string_of_int t.bytes_hashed);
     ("comparator.pages_skipped_identical", string_of_int t.pages_skipped_identical);
-    ("comparator.page_hash_hits", string_of_int t.page_hash_hits);
-    ("comparator.page_hash_misses", string_of_int t.page_hash_misses);
     ("rr.syscalls", string_of_int t.syscalls_recorded);
     ("rr.nondet_instructions", string_of_int t.nondet_recorded);
     ("rr.signals", string_of_int t.signals_recorded);

@@ -45,14 +45,16 @@ type t = {
   mutable dirty_pages_total : int;
   mutable bytes_hashed : int;
       (** page bytes actually read and hashed by the comparator; identity
-          skips and digest-memo hits contribute nothing *)
+          skips contribute nothing *)
   mutable pages_skipped_identical : int;
       (** dirty-union vpns skipped because both sides still mapped the
           same COW frame *)
   mutable page_hash_hits : int;
-      (** per-frame page digests served from the comparator's memo *)
+      (** never written, always 0. Read only by perfbench, and not in
+          {!to_assoc}; goes when perfbench stops reading it. *)
   mutable page_hash_misses : int;
-      (** per-frame page digests computed from page bytes *)
+      (** page digests computed (pages hashed, both sides). Read only by
+          perfbench, and not in {!to_assoc}; goes with [page_hash_hits]. *)
   mutable syscalls_recorded : int;
   mutable nondet_recorded : int;
   mutable signals_recorded : int;

@@ -22,8 +22,6 @@ let create ~capacity =
     misses = 0;
   }
 
-let capacity t = t.cap
-
 let mem t frame = Hashtbl.mem t.resident frame
 
 (* Deterministic xorshift; random replacement makes the miss rate degrade
@@ -92,14 +90,6 @@ let remove t frame =
     Hashtbl.remove t.resident frame;
     t.slots.(slot) <- -1;
     t.free <- slot :: t.free
-
-let clear t =
-  Hashtbl.reset t.resident;
-  Array.fill t.slots 0 t.cap (-1);
-  t.filled <- 0;
-  t.free <- [];
-  t.hits <- 0;
-  t.misses <- 0
 
 let hits t = t.hits
 let misses t = t.misses

@@ -15,8 +15,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val mem : t -> int -> bool
 
 val touch : t -> int -> bool
@@ -25,10 +23,11 @@ val touch : t -> int -> bool
     returns [false]. *)
 
 val admit : t -> int -> int option
-(** Like {!touch}, but reports the frame evicted to make room
+(** Like {!touch}, but reports the key evicted to make room
     ([Some victim] only on a miss that displaced a resident). Callers
     that maintain side tables keyed on residents — e.g.
-    {!Page_digest_cache} — use the victim to drop the matching entry. *)
+    [Machine.Block_cache], keyed on entry pcs — use the victim to drop
+    the matching entry. *)
 
 val remove : t -> int -> unit
 (** [remove t frame] invalidates a resident frame (no-op if absent).
@@ -36,8 +35,6 @@ val remove : t -> int -> unit
     dead copy would otherwise linger as cache pollution that an LRU
     policy would age out naturally. *)
 
-val clear : t -> unit
-
 val hits : t -> int
 val misses : t -> int
-(** Cumulative counters since creation or [clear]. *)
+(** Cumulative counters since creation. *)

@@ -2,7 +2,6 @@ type t = {
   id : int;
   data : Bytes.t;
   mutable refcount : int;
-  mutable generation : int;
 }
 
 type allocator = {
@@ -37,7 +36,7 @@ let alloc a data =
   a.next_id <- id + 1;
   a.live <- a.live + 1;
   a.total <- a.total + 1;
-  { id; data; refcount = 1; generation = 0 }
+  { id; data; refcount = 1 }
 
 (* A recycled buffer if one is free (contents undefined: the caller
    overwrites every byte), else a fresh one. *)
@@ -69,8 +68,6 @@ let decref a f =
     if a.poison then Bytes.fill f.data 0 a.psize poison_byte;
     a.free <- f.data :: a.free
   end
-
-let bump_generation f = f.generation <- f.generation + 1
 
 let live_frames a = a.live
 let total_allocated a = a.total

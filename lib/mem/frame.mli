@@ -17,7 +17,7 @@
     [data] belongs to the allocator, so nothing may read or write it
     (page tables drop a mapping and its reference together). Frame ids
     are never reused: a recycled buffer always comes back under a fresh
-    id with generation 0. With [PARALLAFT_INVARIANTS] set, freed
+    id. With [PARALLAFT_INVARIANTS] set, freed
     buffers are filled with a non-zero poison byte, so a read of a freed
     page changes simulated results instead of silently seeing old bytes. *)
 
@@ -25,12 +25,6 @@ type t = private {
   id : int;  (** unique physical frame number *)
   data : Bytes.t;
   mutable refcount : int;
-  mutable generation : int;
-      (** content version: bumped by {!Page_table.store_prepare} on every
-          in-place write to an exclusively owned frame. Because frame ids
-          are never reused, [(id, generation)] is a stable key for the
-          frame's byte contents — the comparator memoizes per-page
-          digests under it. *)
 }
 
 type allocator
@@ -64,11 +58,6 @@ val decref : allocator -> t -> unit
     [PARALLAFT_INVARIANTS]). The frame must come from [a].
 
     @raise Invalid_argument if the refcount is already zero. *)
-
-val bump_generation : t -> unit
-(** Advance the content version. Called by the write-side page walk when
-    the store lands in place (no COW copy), invalidating any memoized
-    digest of the old contents. *)
 
 (** {2 Statistics} *)
 

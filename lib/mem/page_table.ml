@@ -86,13 +86,7 @@ let store_prepare t ~vpn =
       pte.frame <- fresh;
       Some old_id
     end
-    else begin
-      (* In-place write to an exclusively owned frame: the frame id stays
-         the same while the bytes change, so the content version must
-         advance to invalidate memoized digests. *)
-      Frame.bump_generation pte.frame;
-      None
-    end
+    else None
   in
   pte.soft_dirty <- true;
   (pte.frame.Frame.data, old_frame)
@@ -100,10 +94,6 @@ let store_prepare t ~vpn =
 let read_bytes_at t ~vpn = (find t vpn ~write:false).frame.Frame.data
 
 let copy_page_at t ~vpn = Bytes.copy (read_bytes_at t ~vpn)
-
-let frame_view t ~vpn =
-  let f = (find t vpn ~write:false).frame in
-  (f.Frame.id, f.Frame.generation, f.Frame.data)
 
 let fork t =
   let child = with_entries t.alloc (Hashtbl.create (Hashtbl.length t.entries)) in

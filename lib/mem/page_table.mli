@@ -72,21 +72,15 @@ val store_prepare : t -> vpn:int -> Bytes.t * int option
     @raise Page_fault on unmapped or read-only [vpn]. *)
 
 val read_bytes_at : t -> vpn:int -> Bytes.t
-(** Page bytes for reading.
+(** Page bytes for reading: the backing frame's own buffer, not a copy,
+    so two tables that still share a COW frame return physically equal
+    ([==]) buffers — the comparator's frame-identity skip tests this.
 
     @raise Page_fault on unmapped [vpn]. *)
 
 val copy_page_at : t -> vpn:int -> Bytes.t
 (** Detached copy of the page bytes — payload extraction for the
     segment log (the live frame keeps mutating after the snapshot).
-
-    @raise Page_fault on unmapped [vpn]. *)
-
-val frame_view : t -> vpn:int -> int * int * Bytes.t
-(** [frame_view t ~vpn] is [(frame_id, generation, data)] for the frame
-    backing [vpn] — everything the comparator needs in one walk: the id
-    for the frame-identity short-circuit, the [(id, generation)] pair as
-    the digest-memoization key, and the bytes for a cache miss.
 
     @raise Page_fault on unmapped [vpn]. *)
 

@@ -190,10 +190,10 @@ let identical_cpus () =
   ignore (Machine.Cpu.run b ~env:null_env ~max_cycles:1_000_000);
   (a, b)
 
-let compare_states ?cache ~reference ~candidate dirty =
+let compare_states ~reference ~candidate dirty =
   fst
     (Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-       ?cache ~reference ~candidate ~dirty_vpns:dirty ())
+       ~reference ~candidate ~dirty_vpns:dirty ())
 
 let test_comparator_match () =
   let a, b = identical_cpus () in
@@ -261,7 +261,7 @@ let qcheck_union_sorted_is_set_union =
 (* Reference/candidate CPUs over a freshly forked pair of address
    spaces: 8 COW-shared data pages at 0x100000, each seeded with a
    distinct value. Writes then exercise both COW (first touch of a
-   shared page) and in-place generation bumps (later touches). *)
+   shared page) and in-place stores (later touches). *)
 let data_base = 0x100000
 let data_pages = 8
 let data_vpn i = (data_base / page_size) + i
@@ -316,66 +316,67 @@ let test_comparator_identity_short_circuit () =
   Alcotest.(check int) "two pages of bytes hashed" (2 * page_size)
     cs.Parallaft.Comparator.bytes_hashed
 
-let test_comparator_cache_generation_invalidation () =
+let test_comparator_in_place_restore () =
   let a, b = forked_cpu_pair () in
-  let cache = Mem.Page_digest_cache.create ~capacity:16 in
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
-  | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "identical fork mismatched");
+  let page3 = data_base + (3 * page_size) in
   (* First touch of a shared page COWs a fresh frame on the candidate. *)
-  Mem.Address_space.store64
-    (Machine.Cpu.aspace b)
-    (data_base + (3 * page_size))
-    777;
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
+  Mem.Address_space.store64 (Machine.Cpu.aspace b) page3 777;
+  (match compare_states ~reference:a ~candidate:b all_data_vpns with
   | Parallaft.Comparator.Mismatch (Parallaft.Detection.Memory_mismatch _) -> ()
-  | _ -> Alcotest.fail "divergence missed with warm cache");
-  (* Restoring the original value writes in place (the frame is now
-     exclusively owned): the id is unchanged, so only the generation
-     bump keeps the memo from serving the stale divergent digest. *)
-  Mem.Address_space.store64
-    (Machine.Cpu.aspace b)
-    (data_base + (3 * page_size))
-    1003;
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
-  | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "stale digest served after in-place write");
-  (* And warm re-comparison of the still-divergent-id page hits the memo. *)
-  let _, cs =
+  | _ -> Alcotest.fail "divergence missed");
+  (* Restoring the original value writes in place: the frames stay
+     distinct, so the page is hashed on both sides, and now matches. *)
+  Mem.Address_space.store64 (Machine.Cpu.aspace b) page3 1003;
+  let verdict, cs =
     Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-      ~cache ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
+      ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
   in
-  Alcotest.(check int) "warm run hashes nothing" 0
-    cs.Parallaft.Comparator.bytes_hashed;
-  Alcotest.(check int) "warm run is all hits" 2 cs.Parallaft.Comparator.page_hash_hits
+  (match verdict with
+  | Parallaft.Comparator.Match -> ()
+  | _ -> Alcotest.fail "in-place restore mismatched");
+  Alcotest.(check int) "other pages skipped" (data_pages - 1)
+    cs.Parallaft.Comparator.pages_skipped_identical;
+  Alcotest.(check int) "restored page hashed on both sides" (2 * page_size)
+    cs.Parallaft.Comparator.bytes_hashed
 
-let qcheck_cached_matches_uncached =
-  (* Differential oracle for the memoization layer: after every random
-     fork-side write, the verdict with a (tiny, eviction-pressured)
-     digest cache must equal the from-scratch uncached verdict. *)
-  QCheck.Test.make ~name:"cached comparator verdict = uncached verdict" ~count:40
+let qcheck_verdict_matches_page_bytes =
+  (* Differential oracle for the digest fold and the identity skip: after
+     every random fork-side write, the verdict is Match exactly when every
+     page holds equal bytes on both sides, and the bytes hashed are both
+     sides of each page whose frame is no longer shared. *)
+  QCheck.Test.make ~name:"verdict = page-bytes oracle" ~count:40
     QCheck.(small_list (triple bool (0 -- (data_pages - 1)) (0 -- 100)))
     (fun ops ->
       let a, b = forked_cpu_pair () in
-      let cache = Mem.Page_digest_cache.create ~capacity:2 in
-      let ok = ref true in
-      let check_once () =
-        let cached =
-          compare_states ~cache ~reference:a ~candidate:b all_data_vpns
+      let pt cpu = Mem.Address_space.page_table (Machine.Cpu.aspace cpu) in
+      let holds () =
+        let verdict, cs =
+          Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
+            ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
         in
-        let uncached =
-          compare_states ~reference:a ~candidate:b all_data_vpns
+        let equal vpn =
+          Bytes.equal
+            (Mem.Page_table.read_bytes_at (pt a) ~vpn)
+            (Mem.Page_table.read_bytes_at (pt b) ~vpn)
         in
-        if cached <> uncached then ok := false
+        let unshared =
+          Array.fold_left
+            (fun n vpn ->
+              if Mem.Page_table.frame_id (pt a) ~vpn = Mem.Page_table.frame_id (pt b) ~vpn
+              then n
+              else n + 1)
+            0 all_data_vpns
+        in
+        (verdict = Parallaft.Comparator.Match) = Array.for_all equal all_data_vpns
+        && cs.Parallaft.Comparator.bytes_hashed = 2 * page_size * unshared
       in
-      check_once ();
-      List.iter
-        (fun (side, page, v) ->
-          let asp = Machine.Cpu.aspace (if side then a else b) in
-          Mem.Address_space.store64 asp (data_base + (page * page_size)) v;
-          check_once ())
-        ops;
-      !ok)
+      holds ()
+      && List.for_all
+           (fun (side, page, v) ->
+             let asp = Machine.Cpu.aspace (if side then a else b) in
+             Mem.Address_space.store64 asp (data_base + (page * page_size)) v;
+             holds ())
+           ops)
 
 let test_detection_classification () =
   Alcotest.(check bool) "benign is not detected" false
@@ -421,10 +422,9 @@ let () =
           tc "union_sorted" `Quick test_union_sorted;
           tc "frame-identity short circuit" `Quick
             test_comparator_identity_short_circuit;
-          tc "cache generation invalidation" `Quick
-            test_comparator_cache_generation_invalidation;
+          tc "in-place restore matches" `Quick test_comparator_in_place_restore;
           QCheck_alcotest.to_alcotest qcheck_union_sorted_is_set_union;
-          QCheck_alcotest.to_alcotest qcheck_cached_matches_uncached;
+          QCheck_alcotest.to_alcotest qcheck_verdict_matches_page_bytes;
         ] );
       ( "misc",
         [

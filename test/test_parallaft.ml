@@ -294,15 +294,27 @@ let test_slice_period_controls_segments () =
 
 let test_dirty_backends_equivalent () =
   let program = busy_program () in
-  List.iter
-    (fun backend ->
-      let config =
-        { (parallaft_cfg ~slice_period:20_000 ()) with Parallaft.Config.dirty_backend = backend }
-      in
-      let r = run_protected ~config program in
-      check_clean r)
-    [ Parallaft.Config.Soft_dirty; Parallaft.Config.Map_count;
-      Parallaft.Config.Full_compare ]
+  let run backend =
+    let config =
+      { (parallaft_cfg ~slice_period:20_000 ()) with Parallaft.Config.dirty_backend = backend }
+    in
+    let r = run_protected ~config program in
+    check_clean r;
+    r.stats
+  in
+  let soft = run Parallaft.Config.Soft_dirty in
+  let map_count = run Parallaft.Config.Map_count in
+  let full = run Parallaft.Config.Full_compare in
+  (* The frame-identity skip is what keeps the hashed bytes (and so the
+     simulated hash cost) independent of how coarse the dirty set is:
+     Full_compare hands the comparator every mapped page, and the pages
+     both sides still share are skipped. *)
+  Alcotest.(check int) "map-count hashes what soft-dirty hashes"
+    soft.Parallaft.Stats.bytes_hashed map_count.Parallaft.Stats.bytes_hashed;
+  Alcotest.(check int) "full-compare hashes what soft-dirty hashes"
+    soft.Parallaft.Stats.bytes_hashed full.Parallaft.Stats.bytes_hashed;
+  Alcotest.(check bool) "full-compare skips shared pages" true
+    (full.Parallaft.Stats.pages_skipped_identical > 0)
 
 let test_hashers_equivalent () =
   let program = busy_program () in
